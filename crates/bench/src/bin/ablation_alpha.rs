@@ -3,7 +3,9 @@
 //! residual error, and α decides on which side of the deadline it lands.
 
 use predvfs::train::{fit, profile, TrainerConfig};
-use predvfs::{DvfsModel, PredictiveController, SliceFlavor, SlicePredictor};
+use predvfs::{
+    DvfsModel, PredictiveController, SliceFlavor, SliceInputs, SliceMemo, SlicePredictor,
+};
 use predvfs_accel::{djpeg, WorkloadSize};
 use predvfs_bench::results_dir;
 use predvfs_power::{AlphaPowerCurve, EnergyModel, Ladder, PowerParams, SwitchingModel};
@@ -55,8 +57,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let model = fit(&train_data, &cfg)?;
         let predictor =
             SlicePredictor::generate(&module, &model, SliceOptions::default(), SliceFlavor::Rtl)?;
-        let mut ctrl = PredictiveController::new(dvfs.clone(), f_hz, &predictor, &model);
-        let res = run_scheme(&mut ctrl, &w.test, &traces, &energy, None, &dvfs, &run_cfg)?;
+        let slices = SliceMemo::filled(&SliceInputs {
+            predictor: &predictor,
+            model: &model,
+            slice_energy: None,
+            jobs: &w.test,
+        })?;
+        let mut ctrl = PredictiveController::new(&dvfs, f_hz, &slices);
+        let res = run_scheme(&mut ctrl, &w.test, &traces, &energy, &dvfs, &run_cfg)?;
         let errs = res.prediction_errors_pct();
         let under = errs.iter().filter(|&&e| e < 0.0).count();
         t.row(&[

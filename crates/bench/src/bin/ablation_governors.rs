@@ -38,7 +38,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &e.workloads.test,
             &e.test_traces,
             &e.energy,
-            None,
             &e.dvfs,
             &run_cfg,
         )?;
@@ -48,7 +47,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &e.workloads.test,
             &e.test_traces,
             &e.energy,
-            None,
             &e.dvfs,
             &run_cfg,
         )?;

@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let mut dvfs = e.dvfs.clone();
             dvfs.margin_frac = margin;
             let f_hz = e.bench.f_nominal_mhz * 1e6;
-            let mut ctrl = PredictiveController::new(dvfs.clone(), f_hz, &e.predictor, &e.model);
+            let mut ctrl = PredictiveController::new(&dvfs, f_hz, e.slices()?);
             let run_cfg = RunConfig {
                 deadline_s: e.config().deadline_s,
                 switching: SwitchingModel::off_chip(),
@@ -32,7 +32,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 &e.workloads.test,
                 &e.test_traces,
                 &e.energy,
-                Some(&e.slice_energy),
                 &dvfs,
                 &run_cfg,
             )

@@ -95,7 +95,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     eprintln!("preparing {streams} streams...");
     let runtime = ServeRuntime::prepare(&synth_scenario(&spec), &TraceCache::new())?;
     // Warm-up: the first run over a prepared runtime pays lazy costs
-    // (cached controller decision tables); neither side of the A/B
+    // (the classes' slice memo fills); neither side of the A/B
     // should be charged for them.
     serve_wall(&runtime, 1)?;
 

@@ -14,7 +14,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let pred = exp.run(Scheme::Prediction)?;
 
     let f_hz = exp.bench.f_nominal_mhz * 1e6;
-    let mut hybrid = HybridController::new(exp.dvfs.clone(), f_hz, &exp.predictor, &exp.model);
+    let mut hybrid = HybridController::new(&exp.dvfs, f_hz, exp.slices()?);
     let run_cfg = RunConfig {
         deadline_s: exp.config().deadline_s,
         switching: SwitchingModel::off_chip(),
@@ -25,18 +25,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &exp.workloads.test,
         &exp.test_traces,
         &exp.energy,
-        Some(&exp.slice_energy),
         &exp.dvfs,
         &run_cfg,
     )?;
-    let mut adaptive = HybridController::new(exp.dvfs.clone(), f_hz, &exp.predictor, &exp.model);
+    let mut adaptive = HybridController::new(&exp.dvfs, f_hz, exp.slices()?);
     adaptive.allow_downward = true;
     let mut adp = run_scheme(
         &mut adaptive,
         &exp.workloads.test,
         &exp.test_traces,
         &exp.energy,
-        Some(&exp.slice_energy),
         &exp.dvfs,
         &run_cfg,
     )?;

@@ -68,8 +68,8 @@ fn peak_rss_kb() -> u64 {
 fn scale_config(shards: usize) -> ShardConfig {
     ShardConfig {
         shards,
-        // Cached per-class decision tables: the per-job controller work
-        // collapses to a table lookup, which is what lets one process
+        // Every decision reads its class's slice memo: the per-job
+        // controller work collapses to a lookup, which is what lets one process
         // push 10M jobs. Lean mode keeps memory flat (no per-job
         // records); aggregate counters stay exact.
         force: Some(ControllerKind::Cached),

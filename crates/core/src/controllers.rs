@@ -6,38 +6,44 @@
 //! * [`PidController`] — reactive control from execution-time history
 //!   with a 10 % margin.
 //! * [`PredictiveController`] — the paper's contribution: run the
-//!   hardware slice, predict execution time, set the minimal level.
+//!   hardware slice, predict execution time, set the minimal level. The
+//!   slice's run for each job comes from a [`SliceMemo`], so a decision
+//!   is a memo read plus a ladder scan.
 //! * [`OracleController`] — knows each job's true execution time and pays
 //!   no overheads; the energy lower bound of Fig. 13.
 
+use predvfs_power::SwitchingModel;
 use predvfs_rtl::JobInput;
 
 use crate::dvfs::{DvfsModel, LevelChoice};
 use crate::error::CoreError;
-use crate::model::ExecTimeModel;
-use crate::slicer::{SlicePredictor, SliceRunner};
+use crate::slicer::SliceMemo;
 
 /// Per-job information available at decision time.
 #[derive(Debug, Clone, Copy)]
 pub struct JobContext<'a> {
-    /// The upcoming job's input (readable by look-ahead predictors only).
+    /// The upcoming job's input (readable by look-ahead policies only;
+    /// the slice-based controllers read its slice run from their memo
+    /// by `index`).
     pub job: &'a JobInput,
     /// Wall-clock budget for the job.
     pub deadline_s: f64,
-    /// Sequence number of the job within its task.
+    /// Index of the job within its test set: the index the oracle's
+    /// traces and the slice memo are laid out by.
     pub index: usize,
 }
 
 /// A controller's output for one job.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Decision {
     /// The selected operating point.
     pub choice: LevelChoice,
     /// Predictor-hardware cycles spent before the job (0 for reactive
     /// schemes).
     pub slice_cycles: f64,
-    /// Slice datapath activity, for slice-energy accounting.
-    pub slice_dp_active: Vec<u64>,
+    /// Energy of those slice cycles in the slice's always-nominal
+    /// domain, pJ.
+    pub slice_pj: f64,
     /// The execution-time prediction, when one was made (cycles).
     pub predicted_cycles: Option<f64>,
 }
@@ -47,7 +53,7 @@ impl Decision {
         Decision {
             choice,
             slice_cycles: 0.0,
-            slice_dp_active: Vec::new(),
+            slice_pj: 0.0,
             predicted_cycles,
         }
     }
@@ -274,32 +280,44 @@ impl DvfsController for PidController {
 }
 
 /// The paper's predictive controller: slice → model → minimal level.
+///
+/// The slice run and the model's prediction for each test job are read
+/// from a [`SliceMemo`] by [`JobContext::index`], so deciding costs no
+/// RTL simulation, no dot product and no allocation.
 #[derive(Debug, Clone)]
 pub struct PredictiveController<'p> {
-    dvfs: DvfsModel,
+    dvfs: &'p DvfsModel,
     f_nominal_hz: f64,
-    runner: SliceRunner<'p>,
-    model: &'p ExecTimeModel,
-    /// When true, slice and switching overheads are ignored (the
-    /// "prediction w/o overhead" configuration of Fig. 13).
-    pub ignore_overheads: bool,
+    slices: &'p SliceMemo,
+    /// Switching model budgeted by each decision: the ladder's own, or
+    /// free for [`PredictiveController::without_overheads`].
+    switching: SwitchingModel,
+    ignore_overheads: bool,
 }
 
 impl<'p> PredictiveController<'p> {
-    /// Creates the controller from a generated slice predictor and model.
+    /// Creates the controller over a filled slice memo (its entries'
+    /// predictions come from the model the memo was filled with).
     pub fn new(
-        dvfs: DvfsModel,
+        dvfs: &'p DvfsModel,
         f_nominal_hz: f64,
-        predictor: &'p SlicePredictor,
-        model: &'p ExecTimeModel,
+        slices: &'p SliceMemo,
     ) -> PredictiveController<'p> {
         PredictiveController {
             dvfs,
             f_nominal_hz,
-            runner: predictor.runner(),
-            model,
+            slices,
+            switching: dvfs.switching,
             ignore_overheads: false,
         }
+    }
+
+    /// Ignores slice and switching overheads (the "prediction w/o
+    /// overhead" configuration of Fig. 13).
+    pub fn without_overheads(mut self) -> PredictiveController<'p> {
+        self.ignore_overheads = true;
+        self.switching = SwitchingModel::free();
+        self
     }
 }
 
@@ -309,24 +327,24 @@ impl DvfsController for PredictiveController<'_> {
     }
 
     fn decide(&mut self, ctx: &JobContext<'_>) -> Result<Decision, CoreError> {
-        let run = self.runner.run(ctx.job)?;
-        let predicted = self.model.predict_cycles(&run.features);
-        let (slice_cycles, slice_dp_active, slice_time_s) = if self.ignore_overheads {
-            (0.0, Vec::new(), 0.0)
+        let entry = self.slices.get(ctx.index)?;
+        let (slice_cycles, slice_pj) = if self.ignore_overheads {
+            (0.0, 0.0)
         } else {
-            let t = run.cycles / self.f_nominal_hz;
-            (run.cycles, run.dp_active, t)
+            (entry.run.cycles, entry.slice_pj)
         };
-        let mut dvfs = self.dvfs.clone();
-        if self.ignore_overheads {
-            dvfs.switching = predvfs_power::SwitchingModel::free();
-        }
-        let choice = dvfs.choose(predicted, self.f_nominal_hz, ctx.deadline_s, slice_time_s);
+        let choice = self.dvfs.choose_switching(
+            entry.predicted,
+            self.f_nominal_hz,
+            ctx.deadline_s,
+            slice_cycles / self.f_nominal_hz,
+            self.switching,
+        );
         Ok(Decision {
             choice,
             slice_cycles,
-            slice_dp_active,
-            predicted_cycles: Some(predicted),
+            slice_pj,
+            predicted_cycles: Some(entry.predicted),
         })
     }
 }

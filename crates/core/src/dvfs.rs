@@ -79,7 +79,27 @@ impl DvfsModel {
         budget_s: f64,
         slice_time_s: f64,
     ) -> LevelChoice {
-        let avail = budget_s - slice_time_s - self.switching.transition_s;
+        self.choose_switching(
+            pred_cycles,
+            f_nominal_hz,
+            budget_s,
+            slice_time_s,
+            self.switching,
+        )
+    }
+
+    /// Like [`DvfsModel::choose`], but budgets the transition time of
+    /// `switching` instead of the model's own (free switching for the
+    /// overhead-free predictive scheme).
+    pub fn choose_switching(
+        &self,
+        pred_cycles: f64,
+        f_nominal_hz: f64,
+        budget_s: f64,
+        slice_time_s: f64,
+        switching: SwitchingModel,
+    ) -> LevelChoice {
+        let avail = budget_s - slice_time_s - switching.transition_s;
         if avail <= 0.0 {
             return self.infeasible();
         }

@@ -19,6 +19,12 @@ pub enum CoreError {
         /// Index of the job with no trace.
         index: usize,
     },
+    /// A slice-based controller read a test job whose slice run is not
+    /// in its [`crate::SliceMemo`].
+    SliceNotRun {
+        /// Index of the test job with no slice run.
+        index: usize,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -31,6 +37,9 @@ impl fmt::Display for CoreError {
             }
             CoreError::OracleExhausted { index } => {
                 write!(f, "oracle has no trace for job {index}")
+            }
+            CoreError::SliceNotRun { index } => {
+                write!(f, "no slice run for test job {index}")
             }
         }
     }

@@ -61,7 +61,7 @@ impl DvfsController for WcetController {
         Ok(Decision {
             choice,
             slice_cycles: 0.0,
-            slice_dp_active: Vec::new(),
+            slice_pj: 0.0,
             predicted_cycles: Some(worst),
         })
     }
@@ -118,7 +118,7 @@ impl DvfsController for IntervalGovernor {
         Ok(Decision {
             choice: LevelChoice::Regular(self.level),
             slice_cycles: 0.0,
-            slice_dp_active: Vec::new(),
+            slice_pj: 0.0,
             predicted_cycles: None,
         })
     }

@@ -14,16 +14,14 @@
 use crate::controllers::{Decision, DvfsController, JobContext};
 use crate::dvfs::DvfsModel;
 use crate::error::CoreError;
-use crate::model::ExecTimeModel;
-use crate::slicer::{SlicePredictor, SliceRunner};
+use crate::slicer::SliceMemo;
 
 /// Predictive controller with EWMA residual correction.
 #[derive(Debug, Clone)]
 pub struct HybridController<'p> {
-    dvfs: DvfsModel,
+    dvfs: &'p DvfsModel,
     f_nominal_hz: f64,
-    runner: SliceRunner<'p>,
-    model: &'p ExecTimeModel,
+    slices: &'p SliceMemo,
     /// EWMA smoothing factor for the residual ratio.
     pub ewma_alpha: f64,
     /// When true, the correction may also *lower* predictions (reclaiming
@@ -35,18 +33,17 @@ pub struct HybridController<'p> {
 }
 
 impl<'p> HybridController<'p> {
-    /// Creates the controller; `ewma_alpha` defaults to 0.2.
+    /// Creates the controller over a filled slice memo; `ewma_alpha`
+    /// defaults to 0.2.
     pub fn new(
-        dvfs: DvfsModel,
+        dvfs: &'p DvfsModel,
         f_nominal_hz: f64,
-        predictor: &'p SlicePredictor,
-        model: &'p ExecTimeModel,
+        slices: &'p SliceMemo,
     ) -> HybridController<'p> {
         HybridController {
             dvfs,
             f_nominal_hz,
-            runner: predictor.runner(),
-            model,
+            slices,
             ewma_alpha: 0.2,
             allow_downward: false,
             ratio: 1.0,
@@ -66,8 +63,8 @@ impl DvfsController for HybridController<'_> {
     }
 
     fn decide(&mut self, ctx: &JobContext<'_>) -> Result<Decision, CoreError> {
-        let run = self.runner.run(ctx.job)?;
-        let raw = self.model.predict_cycles(&run.features);
+        let entry = self.slices.get(ctx.index)?;
+        let raw = entry.predicted;
         // Correct by the learned residual. By default never go *below*
         // the raw model's own conservative fit; with `allow_downward` a
         // persistent over-prediction bias is reclaimed as energy.
@@ -78,14 +75,14 @@ impl DvfsController for HybridController<'_> {
         };
         let corrected = raw * factor;
         self.last_prediction = Some(raw);
-        let slice_time_s = run.cycles / self.f_nominal_hz;
+        let slice_time_s = entry.run.cycles / self.f_nominal_hz;
         let choice = self
             .dvfs
             .choose(corrected, self.f_nominal_hz, ctx.deadline_s, slice_time_s);
         Ok(Decision {
             choice,
-            slice_cycles: run.cycles,
-            slice_dp_active: run.dp_active,
+            slice_cycles: entry.run.cycles,
+            slice_pj: entry.slice_pj,
             predicted_cycles: Some(corrected),
         })
     }
@@ -103,15 +100,26 @@ impl DvfsController for HybridController<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slicer::SliceFlavor;
+    use crate::model::ExecTimeModel;
+    use crate::slicer::{SliceFlavor, SliceInputs, SlicePredictor};
     use crate::train::{train, TrainerConfig};
     use predvfs_accel::{djpeg, WorkloadSize};
     use predvfs_power::{AlphaPowerCurve, Ladder, SwitchingModel};
-    use predvfs_rtl::{ExecMode, Simulator, SliceOptions};
+    use predvfs_rtl::{ExecMode, JobInput, Simulator, SliceOptions};
 
     fn dvfs() -> DvfsModel {
         let curve = AlphaPowerCurve::default();
         DvfsModel::new(Ladder::asic(&curve), SwitchingModel::off_chip())
+    }
+
+    fn memo(sp: &SlicePredictor, model: &ExecTimeModel, jobs: &[JobInput]) -> SliceMemo {
+        SliceMemo::filled(&SliceInputs {
+            predictor: sp,
+            model,
+            slice_energy: None,
+            jobs,
+        })
+        .unwrap()
     }
 
     #[test]
@@ -121,7 +129,8 @@ mod tests {
         let model = train(&m, &w.train, &TrainerConfig::default()).unwrap();
         let sp = SlicePredictor::generate(&m, &model, SliceOptions::default(), SliceFlavor::Rtl)
             .unwrap();
-        let mut hybrid = HybridController::new(dvfs(), 250e6, &sp, &model);
+        let (dvfs, slices) = (dvfs(), memo(&sp, &model, &w.test));
+        let mut hybrid = HybridController::new(&dvfs, 250e6, &slices);
         let sim = Simulator::new(&m);
         let mut abs_err_hybrid = 0.0;
         let mut abs_err_raw = 0.0;
@@ -161,14 +170,15 @@ mod tests {
         let model = train(&m, &w.train, &TrainerConfig::default()).unwrap();
         let sp = SlicePredictor::generate(&m, &model, SliceOptions::default(), SliceFlavor::Rtl)
             .unwrap();
-        let mut hybrid = HybridController::new(dvfs(), 250e6, &sp, &model);
+        let (dvfs, slices) = (dvfs(), memo(&sp, &model, &w.test));
+        let mut hybrid = HybridController::new(&dvfs, 250e6, &slices);
         // Force a low ratio by observing much-faster-than-predicted jobs.
-        for job in w.test.iter().take(5) {
+        for (i, job) in w.test.iter().take(5).enumerate() {
             let _ = hybrid
                 .decide(&JobContext {
                     job,
                     deadline_s: 16.7e-3,
-                    index: 0,
+                    index: i,
                 })
                 .unwrap();
             hybrid.observe(1); // absurdly fast
@@ -204,7 +214,8 @@ mod tests {
         let (m, w, model) = sha_setup();
         let sp = SlicePredictor::generate(&m, &model, SliceOptions::default(), SliceFlavor::Rtl)
             .unwrap();
-        let mut hybrid = HybridController::new(dvfs(), 500e6, &sp, &model);
+        let (dvfs, slices) = (dvfs(), memo(&sp, &model, &w.test));
+        let mut hybrid = HybridController::new(&dvfs, 500e6, &slices);
         assert_eq!(hybrid.residual_ratio(), 1.0);
         let runner = sp.runner();
         let mut expected = 1.0;
@@ -235,6 +246,7 @@ mod tests {
         let (m, w, model) = sha_setup();
         let sp = SlicePredictor::generate(&m, &model, SliceOptions::default(), SliceFlavor::Rtl)
             .unwrap();
+        let (dvfs, slices) = (dvfs(), memo(&sp, &model, &w.test));
         let runner = sp.runner();
         let job = &w.test[0];
         let raw = model.predict_cycles(&runner.run(job).unwrap().features);
@@ -244,7 +256,7 @@ mod tests {
             index: 0,
         };
 
-        let mut eager = HybridController::new(dvfs(), 500e6, &sp, &model);
+        let mut eager = HybridController::new(&dvfs, 500e6, &slices);
         eager.ewma_alpha = 1.0;
         eager.decide(&ctx).unwrap();
         let actual = (raw * 3.0).round() as u64;
@@ -254,7 +266,7 @@ mod tests {
             "alpha=1 must jump straight to the last observed ratio"
         );
 
-        let mut frozen = HybridController::new(dvfs(), 500e6, &sp, &model);
+        let mut frozen = HybridController::new(&dvfs, 500e6, &slices);
         frozen.ewma_alpha = 0.0;
         frozen.decide(&ctx).unwrap();
         frozen.observe(actual);
@@ -270,7 +282,8 @@ mod tests {
         let (m, w, model) = sha_setup();
         let sp = SlicePredictor::generate(&m, &model, SliceOptions::default(), SliceFlavor::Rtl)
             .unwrap();
-        let mut hybrid = HybridController::new(dvfs(), 500e6, &sp, &model);
+        let (dvfs, slices) = (dvfs(), memo(&sp, &model, &w.test));
+        let mut hybrid = HybridController::new(&dvfs, 500e6, &slices);
         hybrid.allow_downward = true;
         for (i, job) in w.test.iter().take(5).enumerate() {
             hybrid
@@ -301,10 +314,11 @@ mod tests {
 
     #[test]
     fn observe_without_a_pending_decision_is_a_noop() {
-        let (m, _w, model) = sha_setup();
+        let (m, w, model) = sha_setup();
         let sp = SlicePredictor::generate(&m, &model, SliceOptions::default(), SliceFlavor::Rtl)
             .unwrap();
-        let mut hybrid = HybridController::new(dvfs(), 500e6, &sp, &model);
+        let (dvfs, slices) = (dvfs(), memo(&sp, &model, &w.test));
+        let mut hybrid = HybridController::new(&dvfs, 500e6, &slices);
         hybrid.observe(123_456);
         assert_eq!(
             hybrid.residual_ratio(),

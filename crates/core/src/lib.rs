@@ -13,8 +13,9 @@
 //!    pairs; [`train::fit`] solves the asymmetric-Lasso program to get a
 //!    sparse [`ExecTimeModel`]; [`SlicePredictor::generate`] slices the
 //!    design down to the feature-computing hardware.
-//! 2. **Online** — a [`PredictiveController`] runs the slice per job,
-//!    predicts execution time, and a [`DvfsModel`] picks the lowest
+//! 2. **Online** — the slice runs once per job (a [`SliceMemo`] keeps
+//!    each test job's run and prediction), and a [`PredictiveController`]
+//!    hands the prediction to a [`DvfsModel`], which picks the lowest
 //!    operating point that meets the deadline (with optional boost).
 //!
 //! Baseline, table-based, PID, and oracle controllers are provided for
@@ -26,7 +27,7 @@
 //! ```
 //! use predvfs::{
 //!     train, DvfsController, DvfsModel, JobContext, PredictiveController,
-//!     SliceFlavor, SlicePredictor, TrainerConfig,
+//!     SliceFlavor, SliceInputs, SliceMemo, SlicePredictor, TrainerConfig,
 //! };
 //! use predvfs_accel::{sha, WorkloadSize};
 //! use predvfs_power::{AlphaPowerCurve, Ladder, SwitchingModel};
@@ -39,10 +40,16 @@
 //! let slice = SlicePredictor::generate(
 //!     &module, &model, SliceOptions::default(), SliceFlavor::Rtl)?;
 //!
-//! // Online: pick a DVFS level for an incoming job.
+//! // Online: run the slice once per test job, then pick a DVFS level.
+//! let slices = SliceMemo::filled(&SliceInputs {
+//!     predictor: &slice,
+//!     model: &model,
+//!     slice_energy: None,
+//!     jobs: &jobs.test,
+//! })?;
 //! let curve = AlphaPowerCurve::default();
 //! let dvfs = DvfsModel::new(Ladder::asic(&curve), SwitchingModel::off_chip());
-//! let mut ctrl = PredictiveController::new(dvfs, 500e6, &slice, &model);
+//! let mut ctrl = PredictiveController::new(&dvfs, 500e6, &slices);
 //! let decision = ctrl.decide(&JobContext {
 //!     job: &jobs.test[0],
 //!     deadline_s: 16.7e-3,
@@ -78,6 +85,8 @@ pub use online::{
     AdaptState, AdaptiveController, CalibrationConfig, CalibrationMonitor, OnlineTrainer,
     OnlineTrainerConfig,
 };
-pub use slicer::{SliceFlavor, SlicePredictor, SliceRun, SliceRunner};
+pub use slicer::{
+    SliceEntry, SliceFlavor, SliceInputs, SliceMemo, SlicePredictor, SliceRun, SliceRunner,
+};
 pub use software::{CpuModel, SoftwarePrediction, SoftwarePredictor};
 pub use train::{TrainerConfig, TrainingData};

@@ -39,7 +39,7 @@ use crate::controllers::{Decision, DvfsController, JobContext, PidController};
 use crate::dvfs::DvfsModel;
 use crate::error::CoreError;
 use crate::model::ExecTimeModel;
-use crate::slicer::{SlicePredictor, SliceRunner};
+use crate::slicer::SliceMemo;
 
 /// Hyper-parameters of the online trainer.
 #[derive(Debug, Clone, Copy)]
@@ -492,7 +492,9 @@ impl OnlineTrainer {
 /// warm-started refit.
 ///
 /// Unlike [`crate::PredictiveController`] the model is *owned*, because
-/// refits replace it mid-run. The slice runs on every job even while
+/// refits replace it mid-run. Refits keep the offline feature support,
+/// so the features the [`SliceMemo`] holds for each test job serve every
+/// model the controller installs. The slice runs on every job even while
 /// degraded — the trainer needs its features to refit — so slice overheads
 /// are always charged; the reactive fallback's 10 % margin absorbs the
 /// slice time its level choice does not account for.
@@ -500,22 +502,22 @@ impl OnlineTrainer {
 pub struct AdaptiveController<'p> {
     dvfs: DvfsModel,
     f_nominal_hz: f64,
-    runner: SliceRunner<'p>,
+    slices: &'p SliceMemo,
     model: ExecTimeModel,
     fallback: PidController,
     trainer: OnlineTrainer,
-    /// Features and raw model prediction of the job awaiting `observe`.
-    pending: Option<(Vec<f64>, f64)>,
+    /// Test-job index and model prediction of the job awaiting `observe`.
+    pending: Option<(usize, f64)>,
 }
 
 impl<'p> AdaptiveController<'p> {
-    /// Creates the controller from a generated slice predictor, an owned
+    /// Creates the controller over a filled slice memo, an owned
     /// (typically offline-trained) model, and the trainer configuration.
     /// The PID fallback uses the paper's tuned gains and 10 % margin.
     pub fn new(
         dvfs: DvfsModel,
         f_nominal_hz: f64,
-        predictor: &'p SlicePredictor,
+        slices: &'p SliceMemo,
         model: ExecTimeModel,
         config: OnlineTrainerConfig,
     ) -> AdaptiveController<'p> {
@@ -523,7 +525,7 @@ impl<'p> AdaptiveController<'p> {
         AdaptiveController {
             dvfs,
             f_nominal_hz,
-            runner: predictor.runner(),
+            slices,
             model,
             fallback,
             trainer: OnlineTrainer::new(config),
@@ -563,28 +565,28 @@ impl DvfsController for AdaptiveController<'_> {
     }
 
     fn decide(&mut self, ctx: &JobContext<'_>) -> Result<Decision, CoreError> {
-        let run = self.runner.run(ctx.job)?;
-        let predicted = self.model.predict_cycles(&run.features);
+        let entry = self.slices.get(ctx.index)?;
+        let predicted = self.model.predict_cycles(&entry.run.features);
         let decision = if self.is_degraded() {
             // The reactive fallback picks the level; the slice still ran
             // (its features feed the refit), so its overheads are charged.
             let mut d = self.fallback.decide(ctx)?;
-            d.slice_cycles = run.cycles;
-            d.slice_dp_active = run.dp_active;
+            d.slice_cycles = entry.run.cycles;
+            d.slice_pj = entry.slice_pj;
             d
         } else {
-            let slice_time_s = run.cycles / self.f_nominal_hz;
+            let slice_time_s = entry.run.cycles / self.f_nominal_hz;
             let choice =
                 self.dvfs
                     .choose(predicted, self.f_nominal_hz, ctx.deadline_s, slice_time_s);
             Decision {
                 choice,
-                slice_cycles: run.cycles,
-                slice_dp_active: run.dp_active,
+                slice_cycles: entry.run.cycles,
+                slice_pj: entry.slice_pj,
                 predicted_cycles: Some(predicted),
             }
         };
-        self.pending = Some((run.features, predicted));
+        self.pending = Some((ctx.index, predicted));
         Ok(decision)
     }
 
@@ -592,9 +594,13 @@ impl DvfsController for AdaptiveController<'_> {
         // Keep the fallback's history warm at all times so it is ready the
         // moment drift is declared.
         self.fallback.observe(actual_cycles);
-        if let Some((features, predicted)) = self.pending.take() {
+        let Some((index, predicted)) = self.pending.take() else {
+            return;
+        };
+        // `decide` read this entry, so it is present.
+        if let Ok(entry) = self.slices.get(index) {
             self.trainer
-                .record(&features, predicted, actual_cycles as f64);
+                .record(&entry.run.features, predicted, actual_cycles as f64);
             if let Some(refit) = self.trainer.try_refit(&self.model) {
                 self.model = refit;
             }
@@ -847,7 +853,7 @@ mod tests {
     /// engagement, model swap).
     #[test]
     fn adaptive_controller_degrade_refit_recover_arc() {
-        use crate::slicer::{SliceFlavor, SlicePredictor};
+        use crate::slicer::{SliceFlavor, SliceInputs, SlicePredictor};
         use crate::train::{train, TrainerConfig};
         use predvfs_accel::{djpeg, WorkloadSize};
         use predvfs_power::{AlphaPowerCurve, Ladder, SwitchingModel};
@@ -860,22 +866,29 @@ mod tests {
             .unwrap();
         let curve = AlphaPowerCurve::default();
         let dvfs = DvfsModel::new(Ladder::asic(&curve), SwitchingModel::off_chip());
-        let mut ctrl = AdaptiveController::new(dvfs, 250e6, &sp, offline.clone(), quick_config());
-        let runner = sp.runner();
+        let slices = SliceMemo::filled(&SliceInputs {
+            predictor: &sp,
+            model: &offline,
+            slice_energy: None,
+            jobs: &w.test,
+        })
+        .unwrap();
+        let mut ctrl =
+            AdaptiveController::new(dvfs, 250e6, &slices, offline.clone(), quick_config());
         let scale = 1.6;
-        let mut jobs = w.test.iter().cycle();
-        let mut index = 0usize;
+        let mut step_no = 0usize;
         let mut step = |ctrl: &mut AdaptiveController<'_>, actual_scale: f64| {
-            let job = jobs.next().expect("cycled iterator never ends");
-            let raw = offline.predict_cycles(&runner.run(job).unwrap().features);
+            // Cycle through the test set.
+            let index = step_no % w.test.len();
+            step_no += 1;
+            let raw = slices.get(index).unwrap().predicted;
             ctrl.decide(&JobContext {
-                job,
+                job: &w.test[index],
                 deadline_s: 16.7e-3,
                 index,
             })
             .unwrap();
             ctrl.observe((raw * actual_scale).round().max(1.0) as u64);
-            index += 1;
         };
 
         // Phase 1 — healthy: actuals sit a touch under the offline fit.
@@ -921,10 +934,10 @@ mod tests {
         assert_eq!(ctrl.refits(), 1, "recovery comes from exactly one refit");
 
         // The recovered model tracks the drifted relation on held-out jobs.
-        for job in w.test.iter().take(5) {
-            let f = runner.run(job).unwrap().features;
-            let want = offline.predict_cycles(&f) * scale;
-            let got = ctrl.model().predict_cycles(&f);
+        for index in 0..5 {
+            let f = &slices.get(index).unwrap().run.features;
+            let want = offline.predict_cycles(f) * scale;
+            let got = ctrl.model().predict_cycles(f);
             assert!(
                 (got - want).abs() / want < 0.05,
                 "refit {got:.1} vs drifted truth {want:.1}"

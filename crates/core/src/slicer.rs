@@ -2,12 +2,25 @@
 //!
 //! [`SlicePredictor`] packages the sliced module (§3.5), its probe
 //! program, and cost metadata. A [`SliceRunner`] executes the slice for
-//! each job to obtain feature values and the slice's own execution cycles,
-//! which the DVFS model must budget for.
+//! one job on an [`AnySim`] engine (the process default, compiled unless
+//! `--interp` flips it) to obtain feature values and the slice's own
+//! execution cycles, which the DVFS model must budget for.
+//!
+//! A job's slice run does not depend on which controller asks for it, so
+//! [`SliceMemo`] keeps one [`SliceEntry`] per test job — the run, the
+//! offline model's prediction and the slice energy — each computed at
+//! most once. Every slice-based controller reads the memo by test-job
+//! index; the batch experiment and the serve tier own one per
+//! (predictor, test set) and fill it before their controllers decide.
 
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock, PoisonError};
+
+use predvfs_power::{EnergyModel, OperatingPoint};
 use predvfs_rtl::{
-    slice, Analysis, DatapathKind, ExecMode, JobInput, Module, ProbeProgram, RtlError, Simulator,
-    SliceOptions, SliceReport,
+    default_engine, slice, Analysis, AnySim, DatapathKind, ExecMode, JobInput, Module,
+    ProbeProgram, RtlError, SimEngine, SliceOptions, SliceReport,
 };
 
 use crate::error::CoreError;
@@ -107,17 +120,23 @@ impl SlicePredictor {
         }
     }
 
-    /// Creates a reusable runner (one simulator, many jobs).
+    /// Creates a reusable runner (one engine, many jobs) on the
+    /// process-default engine.
     pub fn runner(&self) -> SliceRunner<'_> {
+        self.runner_on(default_engine())
+    }
+
+    /// Creates a reusable runner on a specific engine.
+    pub fn runner_on(&self, engine: SimEngine) -> SliceRunner<'_> {
         SliceRunner {
-            sim: Simulator::with_analysis(&self.module, &self.analysis),
+            sim: AnySim::with_analysis(&self.module, &self.analysis, engine),
             predictor: self,
         }
     }
 }
 
 /// Result of executing the slice for one job.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SliceRun {
     /// The feature vector (full schema width).
     pub features: Vec<f64>,
@@ -130,17 +149,10 @@ pub struct SliceRun {
 /// Executes the slice; create via [`SlicePredictor::runner`].
 #[derive(Debug)]
 pub struct SliceRunner<'p> {
-    sim: Simulator<'p>,
+    /// The engine, or the compile-time error the compiled engine raised
+    /// (reported by [`SliceRunner::run`]).
+    sim: Result<AnySim<'p>, RtlError>,
     predictor: &'p SlicePredictor,
-}
-
-impl<'p> Clone for SliceRunner<'p> {
-    fn clone(&self) -> SliceRunner<'p> {
-        // The simulator holds only construction-time state (wait plans,
-        // FSM register map, schedule), so a rebuilt runner is
-        // behaviourally identical to the original.
-        self.predictor.runner()
-    }
 }
 
 impl SliceRunner<'_> {
@@ -148,12 +160,11 @@ impl SliceRunner<'_> {
     ///
     /// # Errors
     ///
-    /// Returns [`RtlError`] if the slice hangs (which would indicate a
-    /// slicing bug).
+    /// Returns [`RtlError`] if the slice fails to compile or hangs
+    /// (either would indicate a slicing bug).
     pub fn run(&self, job: &JobInput) -> Result<SliceRun, RtlError> {
-        let t = self
-            .sim
-            .run(job, ExecMode::Compressed, Some(&self.predictor.probes))?;
+        let sim = self.sim.as_ref().map_err(Clone::clone)?;
+        let t = sim.run(job, ExecMode::Compressed, Some(&self.predictor.probes))?;
         let mut cycles = t.cycles as f64;
         if let SliceFlavor::Hls { serial_speedup, .. } = self.predictor.flavor {
             let serial: u64 = self
@@ -170,6 +181,166 @@ impl SliceRunner<'_> {
             cycles,
             dp_active: t.dp_active,
         })
+    }
+}
+
+/// One test job's slice run plus what every slice-based controller
+/// derives from it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SliceEntry {
+    /// The slice run itself.
+    pub run: SliceRun,
+    /// The offline model's cycle prediction for the job.
+    pub predicted: f64,
+    /// Slice energy at the slice's always-nominal operating point, pJ
+    /// (0 when the memo was filled without a slice energy model).
+    pub slice_pj: f64,
+}
+
+/// What a [`SliceMemo`] fill reads, borrowed from the memo's owner.
+#[derive(Debug, Clone, Copy)]
+pub struct SliceInputs<'p> {
+    /// The slice to run.
+    pub predictor: &'p SlicePredictor,
+    /// The offline model whose prediction each entry caches.
+    pub model: &'p ExecTimeModel,
+    /// Slice energy model; `None` charges no slice energy.
+    pub slice_energy: Option<&'p EnergyModel>,
+    /// The test jobs, in memo index order.
+    pub jobs: &'p [JobInput],
+}
+
+impl SliceInputs<'_> {
+    fn entry(&self, runner: &SliceRunner<'_>, index: usize) -> Result<SliceEntry, CoreError> {
+        let run = runner.run(&self.jobs[index])?;
+        let predicted = self.model.predict_cycles(&run.features);
+        let slice_pj = match self.slice_energy {
+            Some(em) if run.cycles > 0.0 => {
+                let nominal = OperatingPoint {
+                    volts: 1.0,
+                    freq_ratio: 1.0,
+                };
+                em.job_pj(run.cycles.round() as u64, &run.dp_active, nominal, 1.0)
+            }
+            _ => 0.0,
+        };
+        Ok(SliceEntry {
+            run,
+            predicted,
+            slice_pj,
+        })
+    }
+}
+
+/// Each test job's [`SliceEntry`], computed at most once, on one engine.
+///
+/// Entries are filled by [`SliceMemo::fill`] (one runner per fill, jobs
+/// fanned out with [`predvfs_par`]) and read lock-free by index.
+/// Concurrent fills of one memo serialize, so no entry ever runs twice;
+/// [`SliceMemo::fills`] counts the slice runs performed.
+#[derive(Debug)]
+pub struct SliceMemo {
+    engine: SimEngine,
+    entries: Vec<OnceLock<SliceEntry>>,
+    fill_lock: Mutex<()>,
+    fills: AtomicUsize,
+}
+
+impl SliceMemo {
+    /// An empty memo for `jobs` test jobs, filled on `engine`.
+    pub fn new(jobs: usize, engine: SimEngine) -> SliceMemo {
+        SliceMemo {
+            engine,
+            entries: (0..jobs).map(|_| OnceLock::new()).collect(),
+            fill_lock: Mutex::new(()),
+            fills: AtomicUsize::new(0),
+        }
+    }
+
+    /// A memo over every job of `inputs`, filled on the process-default
+    /// engine.
+    ///
+    /// # Errors
+    ///
+    /// Propagates slice-execution failures.
+    pub fn filled(inputs: &SliceInputs<'_>) -> Result<SliceMemo, CoreError> {
+        let memo = SliceMemo::new(inputs.jobs.len(), default_engine());
+        memo.fill(inputs, 0..inputs.jobs.len())?;
+        Ok(memo)
+    }
+
+    /// The engine fills run on.
+    pub fn engine(&self) -> SimEngine {
+        self.engine
+    }
+
+    /// Number of test jobs the memo covers.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// True when the memo covers no jobs.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Slice runs performed so far (each entry counts once).
+    pub fn fills(&self) -> usize {
+        self.fills.load(Ordering::Relaxed)
+    }
+
+    /// The entry of test job `index`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::SliceNotRun`] if the entry was never filled
+    /// (or `index` is out of range).
+    pub fn get(&self, index: usize) -> Result<&SliceEntry, CoreError> {
+        self.entries
+            .get(index)
+            .and_then(OnceLock::get)
+            .ok_or(CoreError::SliceNotRun { index })
+    }
+
+    /// Runs the slice for every job in `range` that has no entry yet.
+    /// `inputs` must describe the same test set on every call.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::SliceNotRun`] for a range beyond the memo or
+    /// the inputs' jobs, and propagates slice-execution failures.
+    pub fn fill(&self, inputs: &SliceInputs<'_>, range: Range<usize>) -> Result<(), CoreError> {
+        let end = self.len().min(inputs.jobs.len());
+        if range.end > end {
+            return Err(CoreError::SliceNotRun { index: end });
+        }
+        let missing = || -> Vec<usize> {
+            range
+                .clone()
+                .filter(|&i| self.entries[i].get().is_none())
+                .collect()
+        };
+        if missing().is_empty() {
+            return Ok(());
+        }
+        let _fill = self
+            .fill_lock
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        // Another fill may have covered the range while this one waited.
+        let todo = missing();
+        if todo.is_empty() {
+            return Ok(());
+        }
+        let _span = predvfs_obs::span("core.slice_memo.fill");
+        let runner = inputs.predictor.runner_on(self.engine);
+        let entries = predvfs_par::par_try_map(&todo, |&i| inputs.entry(&runner, i))?;
+        for (i, entry) in todo.iter().zip(entries) {
+            // Fills hold the lock, so every slot in `todo` is still empty.
+            let _ = self.entries[*i].set(entry);
+        }
+        self.fills.fetch_add(todo.len(), Ordering::Relaxed);
+        Ok(())
     }
 }
 
@@ -227,6 +398,43 @@ mod tests {
         assert_eq!(tr.features, th.features);
         assert!(hls.area_factor() < 1.0);
         assert_eq!(rtl.area_factor(), 1.0);
+    }
+
+    #[test]
+    fn memo_runs_each_job_once_and_matches_the_runner() {
+        let (m, model) = setup();
+        let sp = SlicePredictor::generate(&m, &model, SliceOptions::default(), SliceFlavor::Rtl)
+            .unwrap();
+        let jobs = md::workloads(8, WorkloadSize::Quick).test;
+        let inputs = SliceInputs {
+            predictor: &sp,
+            model: &model,
+            slice_energy: None,
+            jobs: &jobs,
+        };
+        let memo = SliceMemo::new(jobs.len(), SimEngine::Interp);
+        assert!(matches!(
+            memo.get(0),
+            Err(CoreError::SliceNotRun { index: 0 })
+        ));
+        memo.fill(&inputs, 0..2).unwrap();
+        assert_eq!(memo.fills(), 2);
+        assert!(memo.get(2).is_err());
+        // Concurrent fills of overlapping ranges run each job once.
+        std::thread::scope(|s| {
+            for _ in 0..3 {
+                s.spawn(|| memo.fill(&inputs, 0..jobs.len()).unwrap());
+            }
+        });
+        assert_eq!(memo.fills(), jobs.len());
+        assert!(memo.fill(&inputs, 0..jobs.len() + 1).is_err());
+        let compiled = sp.runner_on(SimEngine::Compiled);
+        for (i, job) in jobs.iter().enumerate() {
+            let e = memo.get(i).unwrap();
+            assert_eq!(e.run, compiled.run(job).unwrap(), "job {i}");
+            assert_eq!(e.predicted, model.predict_cycles(&e.run.features));
+            assert_eq!(e.slice_pj, 0.0, "no slice energy model, no slice energy");
+        }
     }
 
     #[test]

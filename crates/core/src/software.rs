@@ -11,7 +11,7 @@ use predvfs_rtl::{JobInput, RtlError};
 
 use crate::error::CoreError;
 use crate::model::ExecTimeModel;
-use crate::slicer::{SlicePredictor, SliceRun};
+use crate::slicer::{SlicePredictor, SliceRun, SliceRunner};
 
 /// CPU cost model for a software predictor.
 #[derive(Debug, Clone, Copy)]
@@ -39,7 +39,7 @@ impl Default for CpuModel {
 /// A software predictor: slice semantics evaluated on the CPU.
 #[derive(Debug)]
 pub struct SoftwarePredictor<'p> {
-    predictor: &'p SlicePredictor,
+    runner: SliceRunner<'p>,
     model: &'p ExecTimeModel,
     cpu: CpuModel,
 }
@@ -63,7 +63,7 @@ impl<'p> SoftwarePredictor<'p> {
         cpu: CpuModel,
     ) -> SoftwarePredictor<'p> {
         SoftwarePredictor {
-            predictor,
+            runner: predictor.runner(),
             model,
             cpu,
         }
@@ -77,8 +77,7 @@ impl<'p> SoftwarePredictor<'p> {
     /// Propagates slice-execution failures.
     pub fn predict(&self, job: &JobInput) -> Result<SoftwarePrediction, CoreError> {
         let run: SliceRun = self
-            .predictor
-            .runner()
+            .runner
             .run(job)
             .map_err(|e: RtlError| CoreError::from(e))?;
         let predicted_cycles = self.model.predict_cycles(&run.features);

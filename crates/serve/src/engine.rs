@@ -79,7 +79,7 @@
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use predvfs::{
     AdaptiveController, CalibrationConfig, CalibrationMonitor, Decision, DvfsController, DvfsModel,
@@ -88,45 +88,46 @@ use predvfs::{
 };
 use predvfs_faults::{FaultInjector, FaultKind, NullInjector};
 use predvfs_obs::{kinds, NullSink, ObsSink, TraceEvent};
-use predvfs_power::OperatingPoint;
 use predvfs_rtl::JobTrace;
 use predvfs_sim::{Experiment, ExperimentConfig, TraceCache};
 
 use crate::scenario::{ControllerKind, OverloadPolicy, Scenario, ServeError, StreamSpec};
 use crate::slo::{SloConfig, SloTracker};
 
-/// One memoized slice evaluation: everything the predictive controller
-/// derives from running the hardware slice over one distinct test job.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct CachedEntry {
-    /// The model's (uncorrected) cycle prediction for the job.
-    predicted: f64,
-    /// Cycles the slice itself occupies.
-    slice_cycles: f64,
-    /// Slice energy at the always-nominal slice operating point.
-    slice_pj: f64,
-}
-
 /// One stream, trained and ready to serve: the prepared experiment plus
 /// the per-arrival job sequence (with any drift already applied to the
 /// traces). Streams of the same (benchmark, seed, deadline) class share
-/// one [`Experiment`] (and one cached decision table) behind `Arc`s, so
-/// a million-stream scenario costs a few distinct training runs.
+/// one [`Experiment`] — and with it one slice memo — behind an `Arc`, so
+/// a million-stream scenario costs a few distinct training runs and at
+/// most one slice run per (class, test job).
 struct PreparedStream {
     spec: StreamSpec,
     exp: Arc<Experiment>,
+    /// Index of `exp` in [`ServeRuntime::classes`].
+    class: usize,
     /// Index into the experiment's test set for each arrival.
     job_idx: Arc<Vec<usize>>,
     /// Ground-truth trace for each arrival (drift-scaled past the shift).
     traces: Arc<Vec<JobTrace>>,
-    /// Lazily built per-test-job decision table for
-    /// [`ControllerKind::Cached`], shared across the class.
-    table: Arc<OnceLock<Arc<Vec<CachedEntry>>>>,
+}
+
+impl PreparedStream {
+    /// The stream's arrivals cycle through test jobs `0..test_jobs()`.
+    fn test_jobs(&self) -> usize {
+        self.job_idx.len().min(self.exp.workloads.test.len())
+    }
+}
+
+/// Whether a controller kind reads its class's slice memo.
+fn reads_slices(kind: ControllerKind) -> bool {
+    kind != ControllerKind::Pid
 }
 
 /// A scenario with every stream prepared; reusable across runs.
 pub struct ServeRuntime {
     streams: Vec<PreparedStream>,
+    /// The distinct trained classes, each owning its slice memo.
+    classes: Vec<Arc<Experiment>>,
 }
 
 /// Degradation machinery configuration for [`ServeRuntime::run_chaos`].
@@ -523,60 +524,27 @@ struct InFlight {
     spiked: Option<JobTrace>,
 }
 
-/// The memoized predictive controller: the slice run and model read-out
-/// for each distinct test job come from the shared class table, so a
-/// decision costs a ladder scan instead of an RTL simulation. Decisions
-/// are byte-identical to [`PredictiveController`]'s — this is what makes
-/// million-stream scale scenarios tractable.
-#[derive(Clone)]
-struct CachedCtrl<'p> {
-    dvfs: &'p DvfsModel,
-    f_nominal_hz: f64,
-    entries: &'p [CachedEntry],
-}
-
 /// Per-stream controller dispatch. Boxing a `dyn DvfsController` would
 /// lose access to the adaptive controller's refit counter, so the enum
-/// keeps the concrete types.
+/// keeps the concrete types. [`ControllerKind::Cached`] streams run the
+/// predictive controller: every slice-based controller reads the class's
+/// slice memo, so a predictive decision is already a memo read and a
+/// ladder scan.
 #[derive(Clone)]
 enum Ctrl<'p> {
     Predictive(PredictiveController<'p>),
     Adaptive(Box<AdaptiveController<'p>>),
     Pid(PidController),
     Hybrid(HybridController<'p>),
-    Cached(CachedCtrl<'p>),
 }
 
 impl Ctrl<'_> {
-    /// Decides for one job (`tidx` is its index into the experiment's
-    /// test set). The second element is the cached slice-energy hint,
-    /// which saves the engine recomputing slice energy per dispatch.
-    fn decide(
-        &mut self,
-        ctx: &JobContext<'_>,
-        tidx: usize,
-    ) -> Result<(Decision, Option<f64>), predvfs::CoreError> {
+    fn decide(&mut self, ctx: &JobContext<'_>) -> Result<Decision, predvfs::CoreError> {
         match self {
-            Ctrl::Predictive(c) => Ok((c.decide(ctx)?, None)),
-            Ctrl::Adaptive(c) => Ok((c.decide(ctx)?, None)),
-            Ctrl::Pid(c) => Ok((c.decide(ctx)?, None)),
-            Ctrl::Hybrid(c) => Ok((c.decide(ctx)?, None)),
-            Ctrl::Cached(c) => {
-                let e = c.entries[tidx];
-                let slice_time_s = e.slice_cycles / c.f_nominal_hz;
-                let choice =
-                    c.dvfs
-                        .choose(e.predicted, c.f_nominal_hz, ctx.deadline_s, slice_time_s);
-                Ok((
-                    Decision {
-                        choice,
-                        slice_cycles: e.slice_cycles,
-                        slice_dp_active: Vec::new(),
-                        predicted_cycles: Some(e.predicted),
-                    },
-                    Some(e.slice_pj),
-                ))
-            }
+            Ctrl::Predictive(c) => c.decide(ctx),
+            Ctrl::Adaptive(c) => c.decide(ctx),
+            Ctrl::Pid(c) => c.decide(ctx),
+            Ctrl::Hybrid(c) => c.decide(ctx),
         }
     }
 
@@ -586,7 +554,6 @@ impl Ctrl<'_> {
             Ctrl::Adaptive(c) => c.observe(actual),
             Ctrl::Pid(c) => c.observe(actual),
             Ctrl::Hybrid(c) => c.observe(actual),
-            Ctrl::Cached(_) => {}
         }
     }
 
@@ -607,9 +574,8 @@ impl Ctrl<'_> {
 
 /// Mutable service state of one stream during a run. `Clone` produces a
 /// behaviourally identical copy (the shard tier's checkpoint and journal
-/// payloads rely on this): every field is plain data except the
-/// controller, whose slice runner clones by reconstruction from the
-/// shared immutable predictor.
+/// payloads rely on this): every field is plain data, and the controller
+/// holds only references to its class's shared, immutable slice memo.
 #[derive(Clone)]
 struct StreamState<'p> {
     ctrl: Ctrl<'p>,
@@ -1024,8 +990,6 @@ impl ServeRuntime {
             }
             Ok(Arc::new(exp))
         })?;
-        let tables: Vec<Arc<OnceLock<Arc<Vec<CachedEntry>>>>> =
-            exps.iter().map(|_| Arc::new(OnceLock::new())).collect();
 
         // Arrival plans (job indices + drift-scaled traces) dedupe the
         // same way, keyed by class, job count, and drift.
@@ -1076,12 +1040,15 @@ impl ServeRuntime {
             streams.push(PreparedStream {
                 spec: spec.clone(),
                 exp: Arc::clone(&exps[ei]),
+                class: ei,
                 job_idx,
                 traces,
-                table: Arc::clone(&tables[ei]),
             });
         }
-        Ok(ServeRuntime { streams })
+        Ok(ServeRuntime {
+            streams,
+            classes: exps,
+        })
     }
 
     /// The prepared streams' specs, in scenario order.
@@ -1089,60 +1056,53 @@ impl ServeRuntime {
         self.streams.iter().map(|s| &s.spec)
     }
 
-    /// Builds the memoized decision table for one class (no-op when
-    /// already built).
-    fn ensure_cached_table(s: &PreparedStream) -> Result<(), ServeError> {
-        if s.table.get().is_some() {
-            return Ok(());
+    /// Runs the slice for every (class, test job) the given streams'
+    /// controllers will read — under `force`, else each spec's own kind —
+    /// that has not run yet. Classes fan out in parallel, and each class's
+    /// memo fans its jobs out too.
+    fn fill_slices<'a>(
+        &self,
+        streams: impl Iterator<Item = &'a PreparedStream>,
+        force: Option<ControllerKind>,
+    ) -> Result<(), ServeError> {
+        // Per class, the longest prefix of its test set any stream visits.
+        let mut need = vec![0usize; self.classes.len()];
+        for s in streams {
+            if reads_slices(force.unwrap_or(s.spec.controller)) {
+                need[s.class] = need[s.class].max(s.test_jobs());
+            }
         }
-        let runner = s.exp.predictor.runner();
-        let nominal = OperatingPoint {
-            volts: 1.0,
-            freq_ratio: 1.0,
-        };
-        let mut entries = Vec::with_capacity(s.exp.workloads.test.len());
-        for job in &s.exp.workloads.test {
-            let run = runner
-                .run(job)
-                .map_err(|e| ServeError::Core(predvfs::CoreError::from(e)))?;
-            let predicted = s.exp.model.predict_cycles(&run.features);
-            let slice_pj =
-                s.exp
-                    .slice_energy
-                    .job_pj(run.cycles.round() as u64, &run.dp_active, nominal, 1.0);
-            entries.push(CachedEntry {
-                predicted,
-                slice_cycles: run.cycles,
-                slice_pj,
-            });
-        }
-        let _ = s.table.set(Arc::new(entries));
+        let todo: Vec<(&Experiment, usize)> = self
+            .classes
+            .iter()
+            .zip(need)
+            .filter(|&(_, n)| n > 0)
+            .map(|(exp, n)| (exp.as_ref(), n))
+            .collect();
+        predvfs_par::par_try_map(&todo, |&(exp, n)| {
+            exp.slice_memo().fill(&exp.slice_inputs(), 0..n)
+        })?;
         Ok(())
     }
 
-    /// Pre-builds the memoized decision tables every stream that will
-    /// run under [`ControllerKind::Cached`] needs (one per class, fanned
-    /// out in parallel). [`ServeRuntime::engine`] builds missing tables
-    /// on demand; calling this first avoids redundant concurrent builds
-    /// when many shard engines are constructed from worker threads.
+    /// Slice runs performed so far across the runtime's classes: at most
+    /// one per (class, test job), however many streams, runs and shards
+    /// read them.
+    pub fn slice_runs(&self) -> usize {
+        self.classes.iter().map(|e| e.slice_memo().fills()).sum()
+    }
+
+    /// Runs, ahead of any run, the slices every stream's controller will
+    /// read under `force` (else each spec's own kind), one fill per class
+    /// fanned out in parallel. [`ServeRuntime::engine`] fills whatever is
+    /// missing on demand; calling this first keeps the one-time fill out
+    /// of the first run and out of concurrent shard-engine construction.
     ///
     /// # Errors
     ///
     /// Propagates slice-execution failures.
     pub fn warm_cached_tables(&self, force: Option<ControllerKind>) -> Result<(), ServeError> {
-        let mut seen = std::collections::HashSet::new();
-        let mut todo: Vec<&PreparedStream> = Vec::new();
-        for s in &self.streams {
-            let kind = force.unwrap_or(s.spec.controller);
-            if kind == ControllerKind::Cached
-                && s.table.get().is_none()
-                && seen.insert(Arc::as_ptr(&s.table))
-            {
-                todo.push(s);
-            }
-        }
-        predvfs_par::par_try_map(&todo, |s| Self::ensure_cached_table(s))?;
-        Ok(())
+        self.fill_slices(self.streams.iter(), force)
     }
 
     /// Runs the scenario with each stream's configured controller.
@@ -1234,8 +1194,8 @@ impl ServeRuntime {
     ///
     /// # Errors
     ///
-    /// Propagates cached-table build failures for members forced onto
-    /// [`ControllerKind::Cached`].
+    /// Propagates failures to run the slices the members' controllers
+    /// read (filled here on first use).
     ///
     /// # Panics
     ///
@@ -1266,12 +1226,10 @@ impl ServeRuntime {
             jobs_done: 0,
             boost_requests: Vec::new(),
         };
+        self.fill_slices(members.iter().map(|&gid| &self.streams[gid]), config.force)?;
         for (slot_idx, &gid) in members.iter().enumerate() {
             let s = &self.streams[gid];
             let kind = config.force.unwrap_or(s.spec.controller);
-            if kind == ControllerKind::Cached {
-                Self::ensure_cached_table(s)?;
-            }
             engine.slots.push(Some(Slot {
                 gid,
                 state: new_state(s, kind, config.lean),
@@ -1320,36 +1278,20 @@ impl ServeRuntime {
 fn new_state<'rt>(s: &'rt PreparedStream, kind: ControllerKind, lean: bool) -> StreamState<'rt> {
     let dvfs = &s.exp.dvfs;
     let f_hz = s.exp.energy.f_nominal_hz();
+    let slices = s.exp.slice_memo();
     let ctrl = match kind {
-        ControllerKind::Predictive => Ctrl::Predictive(PredictiveController::new(
-            dvfs.clone(),
-            f_hz,
-            &s.exp.predictor,
-            &s.exp.model,
-        )),
+        ControllerKind::Predictive | ControllerKind::Cached => {
+            Ctrl::Predictive(PredictiveController::new(dvfs, f_hz, slices))
+        }
         ControllerKind::Adaptive => Ctrl::Adaptive(Box::new(AdaptiveController::new(
             dvfs.clone(),
             f_hz,
-            &s.exp.predictor,
+            slices,
             s.exp.model.clone(),
             OnlineTrainerConfig::default(),
         ))),
         ControllerKind::Pid => Ctrl::Pid(PidController::tuned(dvfs.clone(), f_hz)),
-        ControllerKind::Hybrid => Ctrl::Hybrid(HybridController::new(
-            dvfs.clone(),
-            f_hz,
-            &s.exp.predictor,
-            &s.exp.model,
-        )),
-        ControllerKind::Cached => Ctrl::Cached(CachedCtrl {
-            dvfs,
-            f_nominal_hz: f_hz,
-            entries: s
-                .table
-                .get()
-                .expect("cached table built before state construction")
-                .as_slice(),
-        }),
+        ControllerKind::Hybrid => Ctrl::Hybrid(HybridController::new(dvfs, f_hz, slices)),
     };
     StreamState {
         ctrl,
@@ -2223,7 +2165,7 @@ impl Loop<'_, '_> {
         let ctx = JobContext {
             job,
             deadline_s: adm.deadline_abs_s - now,
-            index: state.started,
+            index: tidx,
         };
         state.started += 1;
 
@@ -2243,18 +2185,15 @@ impl Loop<'_, '_> {
         // In quarantine the controller is bypassed entirely: no slice,
         // no prediction, nominal level. The stream trades energy for a
         // deterministic return to deadline safety while probing.
-        let (mut decision, slice_pj_hint) = if safe_mode {
-            (
-                Decision {
-                    choice: s.exp.dvfs.nominal(),
-                    slice_cycles: 0.0,
-                    slice_dp_active: Vec::new(),
-                    predicted_cycles: None,
-                },
-                None,
-            )
+        let mut decision = if safe_mode {
+            Decision {
+                choice: s.exp.dvfs.nominal(),
+                slice_cycles: 0.0,
+                slice_pj: 0.0,
+                predicted_cycles: None,
+            }
         } else {
-            state.ctrl.decide(&ctx, tidx)?
+            state.ctrl.decide(&ctx)?
         };
         state.note_ctrl_transitions(now, self.sink);
 
@@ -2387,28 +2326,9 @@ impl Loop<'_, '_> {
             }
         }
         let exec_s = trace.cycles as f64 / f_eff;
-        // The slice runs in its own always-nominal domain. The cached
-        // controller ships the slice energy precomputed with its class
-        // table; everyone else pays the per-dispatch evaluation.
-        let slice_pj = if decision.slice_cycles > 0.0 {
-            match slice_pj_hint {
-                Some(pj) => pj,
-                None => {
-                    let nominal = OperatingPoint {
-                        volts: 1.0,
-                        freq_ratio: 1.0,
-                    };
-                    s.exp.slice_energy.job_pj(
-                        decision.slice_cycles.round() as u64,
-                        &decision.slice_dp_active,
-                        nominal,
-                        1.0,
-                    )
-                }
-            }
-        } else {
-            0.0
-        };
+        // The slice runs in its own always-nominal domain; its energy
+        // comes precomputed with the class's slice memo.
+        let slice_pj = decision.slice_pj;
         let job_pj = s
             .exp
             .energy

@@ -57,14 +57,12 @@ pub enum ControllerKind {
     /// Predictive with EWMA residual correction
     /// ([`predvfs::HybridController`]).
     Hybrid,
-    /// Predictive with the slice run memoized per distinct test job.
-    ///
-    /// Decisions are identical to [`ControllerKind::Predictive`] — the
-    /// slice simulation for each of the (cyclically reused) test jobs is
-    /// executed once per prepared experiment and its prediction, slice
-    /// cycles, and slice energy are cached — but the per-job cost drops
-    /// from an RTL simulation to a ladder scan, which is what makes
-    /// million-stream scale scenarios tractable.
+    /// The predictive controller, under the name scale scenarios and
+    /// benchmarks force. Every slice-based kind reads its class's slice
+    /// memo — each (cyclically reused) test job's slice runs once per
+    /// prepared class, its prediction, slice cycles and slice energy
+    /// memoized — so decisions are identical to
+    /// [`ControllerKind::Predictive`] and cost a ladder scan.
     Cached,
 }
 

@@ -404,8 +404,8 @@ pub fn run_sharded<'rt>(
         return Err(invalid("shard_sinks must be empty or one per shard"));
     }
 
-    // Build cached tables up front (deduplicated per class) so shard
-    // workers never race on first-use construction cost.
+    // Run the slices the streams' controllers read up front (one fill
+    // per class) so shard workers never wait on each other's fills.
     runtime.warm_cached_tables(config.force)?;
 
     let n_streams = runtime.specs().count();

@@ -1,16 +1,22 @@
 //! End-to-end experiment orchestration for one benchmark: build → train →
 //! slice → profile → run every DVFS scheme.
+//!
+//! The three slice-based schemes read one [`SliceMemo`] owned by the
+//! [`Experiment`]: the slice runs once per test job, on the process-default
+//! engine, however many schemes, deadlines or margins are evaluated.
 
 use predvfs::{
     train, BaselineController, DvfsModel, ExecTimeModel, OracleController, PidController,
-    PredictiveController, SliceFlavor, SlicePredictor, TableController, TrainerConfig,
+    PredictiveController, SliceFlavor, SliceInputs, SliceMemo, SlicePredictor, TableController,
+    TrainerConfig,
 };
 use predvfs_accel::{Benchmark, WorkloadSize, Workloads};
 use predvfs_power::{
     AlphaPowerCurve, EnergyModel, Ladder, PowerParams, SwitchingModel, TableCurve,
 };
 use predvfs_rtl::{
-    AsicAreaModel, FpgaResourceModel, FpgaResources, JobTrace, Module, SliceOptions,
+    default_engine, AsicAreaModel, FpgaResourceModel, FpgaResources, JobTrace, Module, SimEngine,
+    SliceOptions,
 };
 
 use crate::cache::TraceCache;
@@ -68,6 +74,14 @@ impl Scheme {
             Scheme::PredictionBoost => "prediction+boost",
             Scheme::Oracle => "oracle",
         }
+    }
+
+    /// True for the schemes that run the hardware slice.
+    fn reads_slices(self) -> bool {
+        matches!(
+            self,
+            Scheme::Prediction | Scheme::PredictionNoOverhead | Scheme::PredictionBoost
+        )
     }
 }
 
@@ -156,6 +170,8 @@ pub struct Experiment {
     pub fpga_slice: FpgaResources,
     /// Raw feature count before Lasso selection.
     pub raw_feature_count: usize,
+    /// Each test job's slice run, filled on first use.
+    slices: SliceMemo,
     config: ExperimentConfig,
     f_hz: f64,
 }
@@ -208,6 +224,7 @@ impl Experiment {
         };
         let workloads = bundle.workloads.clone();
         let test_traces = bundle.test_traces.clone();
+        let slices = SliceMemo::new(workloads.test.len(), default_engine());
 
         // Energy models, leakage calibrated on the training profile.
         // The profile traces are reused directly: probes are
@@ -276,9 +293,44 @@ impl Experiment {
             fpga_full,
             fpga_slice,
             raw_feature_count,
+            slices,
             config,
             f_hz,
         })
+    }
+
+    /// What a fill of the experiment's slice memo reads.
+    pub fn slice_inputs(&self) -> SliceInputs<'_> {
+        SliceInputs {
+            predictor: &self.predictor,
+            model: &self.model,
+            slice_energy: Some(&self.slice_energy),
+            jobs: &self.workloads.test,
+        }
+    }
+
+    /// The slice memo as it stands, filled or not.
+    pub fn slice_memo(&self) -> &SliceMemo {
+        &self.slices
+    }
+
+    /// The slice memo with every test job filled (each runs at most once
+    /// over the experiment's life, fanned out over the worker pool).
+    ///
+    /// # Errors
+    ///
+    /// Propagates slice-execution failures.
+    pub fn slices(&self) -> Result<&SliceMemo, predvfs::CoreError> {
+        self.slices
+            .fill(&self.slice_inputs(), 0..self.workloads.test.len())?;
+        Ok(&self.slices)
+    }
+
+    /// Replaces the slice memo with an empty one filled on `engine`
+    /// (differential checks of the compiled engine against the
+    /// interpreter).
+    pub fn set_slice_engine(&mut self, engine: SimEngine) {
+        self.slices = SliceMemo::new(self.workloads.test.len(), engine);
     }
 
     /// The experiment's configuration.
@@ -297,16 +349,20 @@ impl Experiment {
 
     /// Runs several schemes over the test set, fanned out in parallel.
     ///
-    /// Each scheme's controller is private to its worker and the result
-    /// vector is collected in `schemes` order, so the output is
-    /// bit-identical to calling [`Experiment::run`] serially for each
-    /// scheme in turn.
+    /// The slice memo is filled first, in parallel over the test jobs, so
+    /// no scheme worker waits on another. Each scheme's controller is
+    /// private to its worker and the result vector is collected in
+    /// `schemes` order, so the output is bit-identical to calling
+    /// [`Experiment::run`] serially for each scheme in turn.
     ///
     /// # Errors
     ///
-    /// Returns the error of the first (lowest-indexed) failing scheme,
-    /// matching the serial path.
+    /// Returns a slice-execution failure, else the error of the first
+    /// (lowest-indexed) failing scheme, matching the serial path.
     pub fn run_all(&self, schemes: &[Scheme]) -> Result<Vec<SchemeResult>, predvfs::CoreError> {
+        if schemes.iter().any(|s| s.reads_slices()) {
+            self.slices()?;
+        }
         predvfs_par::par_try_map(schemes, |&scheme| self.run(scheme))
     }
 
@@ -338,7 +394,7 @@ impl Experiment {
         let mut result = match scheme {
             Scheme::Baseline => {
                 let mut c = BaselineController::new(dvfs.clone());
-                run_scheme(&mut c, jobs, traces, &self.energy, None, &dvfs, &cfg)?
+                run_scheme(&mut c, jobs, traces, &self.energy, &dvfs, &cfg)?
             }
             Scheme::Table => {
                 let mut c = TableController::from_profile(
@@ -348,62 +404,31 @@ impl Experiment {
                     &self.train_cycles,
                     4,
                 );
-                run_scheme(&mut c, jobs, traces, &self.energy, None, &dvfs, &cfg)?
+                run_scheme(&mut c, jobs, traces, &self.energy, &dvfs, &cfg)?
             }
             Scheme::Pid => {
                 let mut c = PidController::tuned(dvfs.clone(), self.f_hz);
-                run_scheme(&mut c, jobs, traces, &self.energy, None, &dvfs, &cfg)?
+                run_scheme(&mut c, jobs, traces, &self.energy, &dvfs, &cfg)?
             }
             Scheme::Prediction => {
-                let mut c = PredictiveController::new(
-                    dvfs.clone(),
-                    self.f_hz,
-                    &self.predictor,
-                    &self.model,
-                );
-                run_scheme(
-                    &mut c,
-                    jobs,
-                    traces,
-                    &self.energy,
-                    Some(&self.slice_energy),
-                    &dvfs,
-                    &cfg,
-                )?
+                let mut c = PredictiveController::new(&dvfs, self.f_hz, self.slices()?);
+                run_scheme(&mut c, jobs, traces, &self.energy, &dvfs, &cfg)?
             }
             Scheme::PredictionNoOverhead => {
-                let mut c = PredictiveController::new(
-                    dvfs.clone(),
-                    self.f_hz,
-                    &self.predictor,
-                    &self.model,
-                );
-                c.ignore_overheads = true;
-                run_scheme(&mut c, jobs, traces, &self.energy, None, &dvfs, &cfg)?
+                let mut c =
+                    PredictiveController::new(&dvfs, self.f_hz, self.slices()?).without_overheads();
+                run_scheme(&mut c, jobs, traces, &self.energy, &dvfs, &cfg)?
             }
             Scheme::PredictionBoost => {
-                let mut boosted = dvfs.clone();
+                let mut boosted = dvfs;
                 boosted.use_boost = true;
-                let mut c = PredictiveController::new(
-                    boosted.clone(),
-                    self.f_hz,
-                    &self.predictor,
-                    &self.model,
-                );
-                run_scheme(
-                    &mut c,
-                    jobs,
-                    traces,
-                    &self.energy,
-                    Some(&self.slice_energy),
-                    &boosted,
-                    &cfg,
-                )?
+                let mut c = PredictiveController::new(&boosted, self.f_hz, self.slices()?);
+                run_scheme(&mut c, jobs, traces, &self.energy, &boosted, &cfg)?
             }
             Scheme::Oracle => {
                 let actual: Vec<u64> = traces.iter().map(|t| t.cycles).collect();
                 let mut c = OracleController::new(dvfs.clone(), self.f_hz, actual);
-                run_scheme(&mut c, jobs, traces, &self.energy, None, &dvfs, &cfg)?
+                run_scheme(&mut c, jobs, traces, &self.energy, &dvfs, &cfg)?
             }
         };
         result.scheme = scheme.name().to_owned();
@@ -495,6 +520,29 @@ mod tests {
         assert!(ovh.time_pct >= 0.0 && ovh.time_pct < 50.0);
         assert!(ovh.energy_pct >= 0.0 && ovh.energy_pct < 50.0);
         assert!(ovh.resource_pct > 0.0);
+    }
+
+    #[test]
+    fn run_all_runs_each_test_jobs_slice_once() {
+        let e = quick("sha");
+        let n = e.workloads.test.len();
+        assert_eq!(e.slice_memo().fills(), 0, "prepare runs no slice");
+        let all = e.run_all(&Scheme::ALL).unwrap();
+        assert_eq!(e.slice_memo().fills(), n);
+        // Serial reruns, other deadlines and repeated fan-outs read the
+        // same memo.
+        assert_eq!(e.run(Scheme::PredictionBoost).unwrap(), all[5]);
+        e.run_with_deadline(Scheme::Prediction, 8e-3).unwrap();
+        e.run_all(&Scheme::ALL).unwrap();
+        assert_eq!(e.slice_memo().fills(), n);
+    }
+
+    #[test]
+    fn policies_alone_run_no_slice() {
+        let e = quick("sha");
+        e.run_all(&[Scheme::Baseline, Scheme::Table, Scheme::Pid, Scheme::Oracle])
+            .unwrap();
+        assert_eq!(e.slice_memo().fills(), 0);
     }
 
     #[test]

@@ -23,8 +23,8 @@ pub struct RunConfig {
 ///
 /// The jobs' execution traces are simulated once (cycle counts are
 /// frequency-independent); the runner replays them under the controller's
-/// decisions, charging slice time/energy, DVFS transitions, and the
-/// voltage-scaled job energy.
+/// decisions, charging slice time and the decision's slice energy, DVFS
+/// transitions, and the voltage-scaled job energy.
 ///
 /// # Errors
 ///
@@ -38,7 +38,6 @@ pub fn run_scheme(
     jobs: &[JobInput],
     traces: &[JobTrace],
     accel_energy: &EnergyModel,
-    slice_energy: Option<&EnergyModel>,
     dvfs: &DvfsModel,
     config: &RunConfig,
 ) -> Result<SchemeResult, predvfs::CoreError> {
@@ -61,21 +60,7 @@ pub fn run_scheme(
         let exec_s = accel_energy.time_s(trace.cycles, point);
         // The slice runs in its own always-nominal domain.
         let slice_s = decision.slice_cycles / accel_energy.f_nominal_hz();
-        let slice_pj = match (slice_energy, decision.slice_cycles > 0.0) {
-            (Some(em), true) => {
-                let nominal = predvfs_power::OperatingPoint {
-                    volts: 1.0,
-                    freq_ratio: 1.0,
-                };
-                em.job_pj(
-                    decision.slice_cycles.round() as u64,
-                    &decision.slice_dp_active,
-                    nominal,
-                    config.leak_voltage_exp,
-                )
-            }
-            _ => 0.0,
-        };
+        let slice_pj = decision.slice_pj;
         let job_pj = accel_energy.job_pj(
             trace.cycles,
             &trace.dp_active,
@@ -159,7 +144,7 @@ mod tests {
             switching: SwitchingModel::off_chip(),
             leak_voltage_exp: 1.0,
         };
-        let res = run_scheme(&mut ctrl, &jobs, &traces, &em, None, &dvfs, &cfg).unwrap();
+        let res = run_scheme(&mut ctrl, &jobs, &traces, &em, &dvfs, &cfg).unwrap();
         assert_eq!(res.jobs(), 3);
         assert_eq!(res.misses(), 0);
         for r in &res.records {
@@ -184,9 +169,9 @@ mod tests {
         // Oracle with perfect knowledge picks low levels and saves energy.
         let actual: Vec<u64> = traces.iter().map(|t| t.cycles).collect();
         let mut oracle = predvfs::OracleController::new(dvfs.clone(), 100e6, actual);
-        let oracle_res = run_scheme(&mut oracle, &jobs, &traces, &em, None, &dvfs, &cfg).unwrap();
+        let oracle_res = run_scheme(&mut oracle, &jobs, &traces, &em, &dvfs, &cfg).unwrap();
         let mut base = BaselineController::new(dvfs.clone());
-        let base_res = run_scheme(&mut base, &jobs, &traces, &em, None, &dvfs, &cfg).unwrap();
+        let base_res = run_scheme(&mut base, &jobs, &traces, &em, &dvfs, &cfg).unwrap();
         assert!(oracle_res.total_energy_pj() < base_res.total_energy_pj());
         assert_eq!(oracle_res.misses(), 0);
     }
@@ -214,7 +199,7 @@ mod tests {
         // levels at least once.
         let actual: Vec<u64> = traces.iter().map(|t| t.cycles).collect();
         let mut oracle = predvfs::OracleController::new(dvfs.clone(), 100e6, actual.clone());
-        let res = run_scheme(&mut oracle, &jobs, &traces, &em, None, &dvfs, &cfg).unwrap();
+        let res = run_scheme(&mut oracle, &jobs, &traces, &em, &dvfs, &cfg).unwrap();
 
         // Same decisions with a truly free model, as the reference.
         let free_dvfs = DvfsModel::new(Ladder::asic(&curve), SwitchingModel::free());
@@ -223,16 +208,8 @@ mod tests {
             ..cfg.clone()
         };
         let mut free_oracle = predvfs::OracleController::new(free_dvfs.clone(), 100e6, actual);
-        let free_res = run_scheme(
-            &mut free_oracle,
-            &jobs,
-            &traces,
-            &em,
-            None,
-            &free_dvfs,
-            &free_cfg,
-        )
-        .unwrap();
+        let free_res =
+            run_scheme(&mut free_oracle, &jobs, &traces, &em, &free_dvfs, &free_cfg).unwrap();
 
         let switches = res
             .records

@@ -7,12 +7,15 @@
 //! interpreter — the full [`JobTrace`] (cycles, per-datapath activity,
 //! token counts, and the STC/IC/AIV/APV feature stream, which accumulates
 //! in `f64` and therefore checks floating-point order too) and the final
-//! flattened register file. CI fails if any benchmark diverges.
+//! flattened register file. CI fails if any benchmark diverges. The same
+//! holds one level up: every slice-based scheme gives identical results
+//! whichever engine fills the experiment's slice memo.
 
 use predvfs_accel::{all, Benchmark, WorkloadSize};
 use predvfs_rtl::{
     Analysis, AnySim, CompiledSim, ExecMode, FeatureSchema, JobInput, SimEngine, Simulator,
 };
+use predvfs_sim::{Experiment, ExperimentConfig, Platform, Scheme};
 
 /// Compares both engines on `jobs`, probed and unprobed, in `mode`.
 fn assert_engines_agree(bench: &Benchmark, jobs: &[JobInput], mode: ExecMode) {
@@ -113,4 +116,34 @@ fn experiment_path_uses_the_compiled_engine_by_default() {
     let module = (all()[0].build)();
     let sim = AnySim::new(&module).unwrap();
     assert_eq!(sim.engine(), SimEngine::Compiled);
+    let exp = Experiment::prepare(all()[0], ExperimentConfig::quick(Platform::Asic)).unwrap();
+    assert_eq!(exp.slice_memo().engine(), SimEngine::Compiled);
+}
+
+#[test]
+fn slice_schemes_agree_whichever_engine_fills_the_memo() {
+    let schemes = [
+        Scheme::Prediction,
+        Scheme::PredictionNoOverhead,
+        Scheme::PredictionBoost,
+    ];
+    for bench in all() {
+        let mut exp = Experiment::prepare(bench, ExperimentConfig::quick(Platform::Asic))
+            .unwrap_or_else(|e| panic!("{}: prepare failed: {e}", bench.name));
+        let mut results = Vec::new();
+        for engine in [SimEngine::Compiled, SimEngine::Interp] {
+            exp.set_slice_engine(engine);
+            assert_eq!(exp.slice_memo().engine(), engine);
+            results.push(
+                exp.run_all(&schemes)
+                    .unwrap_or_else(|e| panic!("{}/{engine:?}: run failed: {e}", bench.name)),
+            );
+            assert_eq!(exp.slice_memo().fills(), exp.workloads.test.len());
+        }
+        assert_eq!(
+            results[0], results[1],
+            "{}: compiled and interpreted slice memos gave different results",
+            bench.name
+        );
+    }
 }

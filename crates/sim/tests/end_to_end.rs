@@ -2,8 +2,8 @@
 //! registered benchmark, at reduced workload scale.
 
 use predvfs::{
-    train, DvfsController, DvfsModel, JobContext, PredictiveController, SliceFlavor,
-    SlicePredictor, TrainerConfig,
+    train, DvfsController, DvfsModel, JobContext, PredictiveController, SliceFlavor, SliceInputs,
+    SliceMemo, SlicePredictor, TrainerConfig,
 };
 use predvfs_accel::{all, WorkloadSize};
 use predvfs_power::{AlphaPowerCurve, Ladder, SwitchingModel};
@@ -109,7 +109,14 @@ fn controller_meets_deadlines_on_quick_workloads() {
                 .unwrap();
         let f_hz = bench.f_nominal_mhz * 1e6;
         let dvfs = dvfs();
-        let mut controller = PredictiveController::new(dvfs.clone(), f_hz, &predictor, &model);
+        let slices = SliceMemo::filled(&SliceInputs {
+            predictor: &predictor,
+            model: &model,
+            slice_energy: None,
+            jobs: &w.test,
+        })
+        .unwrap();
+        let mut controller = PredictiveController::new(&dvfs, f_hz, &slices);
         let sim = Simulator::new(&module);
         let mut misses = 0;
         let n = w.test.len().min(20);

@@ -6,7 +6,7 @@
 
 use predvfs::{
     train, DvfsController, DvfsModel, JobContext, PidController, PredictiveController, SliceFlavor,
-    SlicePredictor, TrainerConfig,
+    SliceInputs, SliceMemo, SlicePredictor, TrainerConfig,
 };
 use predvfs_accel::cjpeg;
 use predvfs_accel::common::{self, WorkloadSize};
@@ -43,6 +43,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let shots = burst(1234, 40);
     let sim = Simulator::new(&module);
+    let slices = SliceMemo::filled(&SliceInputs {
+        predictor: &predictor,
+        model: &model,
+        slice_energy: None,
+        jobs: &shots,
+    })?;
 
     for (name, mut controller) in [
         (
@@ -51,12 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ),
         (
             "prediction",
-            Box::new(PredictiveController::new(
-                dvfs.clone(),
-                f_hz,
-                &predictor,
-                &model,
-            )) as Box<dyn DvfsController>,
+            Box::new(PredictiveController::new(&dvfs, f_hz, &slices)) as Box<dyn DvfsController>,
         ),
     ] {
         let mut pj = 0.0;

@@ -5,7 +5,7 @@
 
 use predvfs::{
     train, DvfsController, DvfsModel, JobContext, LevelChoice, PredictiveController, SliceFlavor,
-    SlicePredictor, TrainerConfig,
+    SliceInputs, SliceMemo, SlicePredictor, TrainerConfig,
 };
 use predvfs_accel::{sha, WorkloadSize};
 use predvfs_power::{AlphaPowerCurve, Ladder, SwitchingModel};
@@ -45,8 +45,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         SwitchingModel::off_chip(),
     );
     let f_hz = sha::F_NOMINAL_MHZ * 1e6;
-    let mut controller = PredictiveController::new(dvfs.clone(), f_hz, &predictor, &model);
     let job = &jobs.test[0];
+    let slices = SliceMemo::filled(&SliceInputs {
+        predictor: &predictor,
+        model: &model,
+        slice_energy: None,
+        jobs: std::slice::from_ref(job),
+    })?;
+    let mut controller = PredictiveController::new(&dvfs, f_hz, &slices);
     let decision = controller.decide(&JobContext {
         job,
         deadline_s: 16.7e-3,

@@ -4,8 +4,8 @@
 //! Run with: `cargo run -p predvfs --release --example video_player`
 
 use predvfs::{
-    train, DvfsController, DvfsModel, JobContext, PredictiveController, SliceFlavor,
-    SlicePredictor, TrainerConfig,
+    train, DvfsController, DvfsModel, JobContext, PredictiveController, SliceFlavor, SliceInputs,
+    SliceMemo, SlicePredictor, TrainerConfig,
 };
 use predvfs_accel::h264;
 use predvfs_power::{AlphaPowerCurve, EnergyModel, Ladder, PowerParams, SwitchingModel};
@@ -34,10 +34,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Ladder::asic(&curve).with_boost(&curve, 1.08),
         SwitchingModel::off_chip(),
     );
-    let mut controller = PredictiveController::new(dvfs.clone(), f_hz, &predictor, &model);
 
-    // "Play" a clip.
+    // "Play" a clip; the slice runs once per frame.
     let clip = h264::clip(99, 120, 0.2, 0.8, 396);
+    let slices = SliceMemo::filled(&SliceInputs {
+        predictor: &predictor,
+        model: &model,
+        slice_energy: None,
+        jobs: &clip,
+    })?;
+    let mut controller = PredictiveController::new(&dvfs, f_hz, &slices);
     let sim = Simulator::new(&module);
     let nominal = predvfs_power::OperatingPoint {
         volts: 1.0,
